@@ -337,45 +337,22 @@ class MonolithicEngine:
     # -- KV bookkeeping -------------------------------------------------------------------------------
 
     def _gather_context(self, sequence: _Sequence) -> KvContext:
-        config = self.entry.config
-        context = KvContext.empty(config)
-        if sequence.computed_tokens == 0:
-            return context
-        keys = [[] for _ in range(config.n_layers)]
-        values = [[] for _ in range(config.n_layers)]
-        positions: List[int] = []
         needed = sequence.computed_tokens
-        for page_id in sequence.page_ids:
-            if needed <= 0:
-                break
-            page = self.memory.kv_pages.page(page_id)
-            take = min(needed, self.page_size)
-            for slot in range(take):
-                if not page.valid[slot]:
-                    raise BaselineError("engine KV accounting error: unwritten slot in context")
-                for layer in range(config.n_layers):
-                    keys[layer].append(page.keys[layer][slot])
-                    values[layer].append(page.values[layer][slot])
-                positions.append(int(page.positions[slot]))
-            needed -= take
-        return KvContext(
-            keys=[np.stack(k) for k in keys],
-            values=[np.stack(v) for v in values],
-            positions=np.asarray(positions, dtype=np.int64),
-            visible=np.ones(len(positions), dtype=bool),
-        )
+        pages = sequence.page_ids[: -(-needed // self.page_size)]
+        context = self.memory.kv_pages.gather(pages)
+        if not self.memory.kv_pages.valid[pages].reshape(-1)[:needed].all():
+            raise BaselineError("engine KV accounting error: unwritten slot in context")
+        return context
 
     def _write_kv(self, sequence: _Sequence, result, count: int) -> None:
-        for index in range(count):
-            global_slot = sequence.computed_tokens
-            page = self.memory.kv_pages.page(sequence.page_ids[global_slot // self.page_size])
-            page.write_token(
-                global_slot % self.page_size,
-                position=int(result.positions[index]),
-                keys_per_layer=[k[index] for k in result.new_keys],
-                values_per_layer=[v[index] for v in result.new_values],
-            )
-            sequence.computed_tokens += 1
+        self.memory.kv_pages.scatter(
+            sequence.page_ids,
+            sequence.computed_tokens,
+            result.positions[:count],
+            [k[:count] for k in result.new_keys],
+            [v[:count] for v in result.new_values],
+        )
+        sequence.computed_tokens += count
 
     # -- completion ----------------------------------------------------------------------------------------
 

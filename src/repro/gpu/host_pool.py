@@ -55,19 +55,16 @@ class PcieCostModel:
 class _HostPageCopy:
     """A point-in-time snapshot of one device KV page, resident in host DRAM."""
 
-    __slots__ = ("keys", "values", "positions", "valid", "visible")
+    __slots__ = ("kv", "positions", "valid", "visible")
 
     def __init__(self, page: PhysicalKvPage) -> None:
-        self.keys = [layer.copy() for layer in page.keys]
-        self.values = [layer.copy() for layer in page.values]
+        self.kv = page.kv.copy()
         self.positions = page.positions.copy()
         self.valid = page.valid.copy()
         self.visible = page.visible.copy()
 
     def restore_into(self, page: PhysicalKvPage) -> None:
-        for layer in range(len(page.keys)):
-            page.keys[layer][:] = self.keys[layer]
-            page.values[layer][:] = self.values[layer]
+        page.kv[...] = self.kv
         page.positions[:] = self.positions
         page.valid[:] = self.valid
         page.visible[:] = self.visible

@@ -3,7 +3,8 @@
 Following PagedAttention, the KV cache is carved into fixed-size pages of
 ``kv_page_size`` token slots; each slot stores per-layer key/value vectors,
 the token's sequence position, a validity flag (has the slot been written?)
-and a visibility flag (has it been masked out with ``mask_kvpage``?).
+and a visibility flag (has it been masked out with ``mask_kvpage``?).  The
+pages of one device are rows of one pool tensor (:class:`KvPageStore`).
 
 The pools are shared by Pie's control layer and by the baseline engines'
 block managers — the paper's "same FlashInfer backend" setup — and enforce
@@ -19,48 +20,35 @@ import numpy as np
 from repro.errors import OutOfResourcesError, ResourceError
 from repro.gpu.config import GpuConfig
 from repro.model.config import ModelConfig
+from repro.model.transformer import KvContext
 
 
 class PhysicalKvPage:
-    """One physical KV page: ``page_size`` token slots across all layers."""
+    """One physical KV page: ``page_size`` token slots across all layers.
 
-    __slots__ = ("page_id", "page_size", "keys", "values", "positions", "valid", "visible")
+    The fields are views of the page's row of its :class:`KvPageStore`'s
+    pool arrays; ``keys``/``values`` (indexed ``[layer][slot]``) are the
+    two halves of ``kv``.
+    """
 
-    def __init__(self, page_id: int, config: ModelConfig) -> None:
+    __slots__ = ("page_id", "page_size", "kv", "keys", "values", "positions", "valid", "visible")
+
+    def __init__(self, page_id: int, store: "KvPageStore") -> None:
         self.page_id = page_id
-        self.page_size = config.kv_page_size
-        shape = (config.kv_page_size, config.n_kv_heads, config.d_head)
-        self.keys = [np.zeros(shape, dtype=np.float32) for _ in range(config.n_layers)]
-        self.values = [np.zeros(shape, dtype=np.float32) for _ in range(config.n_layers)]
-        self.positions = np.zeros(config.kv_page_size, dtype=np.int64)
-        self.valid = np.zeros(config.kv_page_size, dtype=bool)
-        self.visible = np.ones(config.kv_page_size, dtype=bool)
+        self.page_size = store.page_size
+        self.kv = store.kv[page_id]
+        self.keys = self.kv[0]
+        self.values = self.kv[1]
+        self.positions = store.positions[page_id]
+        self.valid = store.valid[page_id]
+        self.visible = store.visible[page_id]
 
     def clear(self) -> None:
         """Reset the page for reuse by a future allocation."""
+        self.kv[...] = 0.0
         self.positions[:] = 0
         self.valid[:] = False
         self.visible[:] = True
-        for layer in range(len(self.keys)):
-            self.keys[layer][:] = 0.0
-            self.values[layer][:] = 0.0
-
-    def write_token(
-        self,
-        slot: int,
-        position: int,
-        keys_per_layer: Sequence[np.ndarray],
-        values_per_layer: Sequence[np.ndarray],
-    ) -> None:
-        """Store K/V vectors for a token at ``slot``."""
-        if not 0 <= slot < self.page_size:
-            raise ResourceError(f"slot {slot} out of range for page of {self.page_size}")
-        for layer, (k, v) in enumerate(zip(keys_per_layer, values_per_layer)):
-            self.keys[layer][slot] = k
-            self.values[layer][slot] = v
-        self.positions[slot] = position
-        self.valid[slot] = True
-        self.visible[slot] = True
 
     def copy_page_from(self, other: "PhysicalKvPage") -> None:
         """Whole-page copy (used for device-to-device KV transfers)."""
@@ -68,9 +56,7 @@ class PhysicalKvPage:
             raise ResourceError(
                 f"page size mismatch: {other.page_size} -> {self.page_size}"
             )
-        for layer in range(len(self.keys)):
-            self.keys[layer][:] = other.keys[layer]
-            self.values[layer][:] = other.values[layer]
+        self.kv[...] = other.kv
         self.positions[:] = other.positions
         self.valid[:] = other.valid
         self.visible[:] = other.visible
@@ -79,9 +65,7 @@ class PhysicalKvPage:
         """Token-level copy (used by ``copy_kvpage``)."""
         if not other.valid[src_slot]:
             raise ResourceError("cannot copy from an unwritten KV slot")
-        for layer in range(len(self.keys)):
-            self.keys[layer][dst_slot] = other.keys[layer][src_slot]
-            self.values[layer][dst_slot] = other.values[layer][src_slot]
+        self.kv[:, :, dst_slot] = other.kv[:, :, src_slot]
         self.positions[dst_slot] = other.positions[src_slot]
         self.valid[dst_slot] = True
         self.visible[dst_slot] = other.visible[src_slot]
@@ -151,12 +135,25 @@ class _Pool:
 
 
 class KvPageStore:
-    """Physical KV pages plus their allocator."""
+    """Physical KV pages plus their allocator.
+
+    All pages of the device live in one page-major pool tensor ``kv`` of
+    shape ``[num_pages, 2 (k/v), n_layers, page_size, n_kv_heads, d_head]``,
+    with ``positions``, ``valid`` and ``visible`` of shape
+    ``[num_pages, page_size]``.  :meth:`gather` and :meth:`scatter` move a
+    forward call's context and new K/V with one fancy index each.
+    """
 
     def __init__(self, model_config: ModelConfig, num_pages: int) -> None:
         self.model_config = model_config
         self.page_size = model_config.kv_page_size
         self._pool = _Pool(num_pages, "kv page")
+        layers, heads, d_head = model_config.n_layers, model_config.n_kv_heads, model_config.d_head
+        shape = (num_pages, 2, layers, self.page_size, heads, d_head)
+        self.kv = np.zeros(shape, dtype=np.float32)
+        self.positions = np.zeros((num_pages, self.page_size), dtype=np.int64)
+        self.valid = np.zeros((num_pages, self.page_size), dtype=bool)
+        self.visible = np.ones((num_pages, self.page_size), dtype=bool)
         self._pages: Dict[int, PhysicalKvPage] = {}
 
     def allocate(self, count: int) -> List[int]:
@@ -164,7 +161,7 @@ class KvPageStore:
         for pid in ids:
             page = self._pages.get(pid)
             if page is None:
-                self._pages[pid] = PhysicalKvPage(pid, self.model_config)
+                self._pages[pid] = PhysicalKvPage(pid, self)
             else:
                 page.clear()
         return ids
@@ -173,9 +170,62 @@ class KvPageStore:
         self._pool.free(ids)
 
     def page(self, page_id: int) -> PhysicalKvPage:
+        self._check(page_id)
+        return self._pages[page_id]
+
+    def gather(self, page_ids: Sequence[int]) -> KvContext:
+        """The written slots of ``page_ids`` as a forward call's context,
+        in page order and slot order within a page."""
+        rows = self._rows(page_ids)
+        page_index, slots = np.nonzero(self.valid[rows])
+        rows = rows[page_index]
+        kv = self.kv[rows, :, :, slots].transpose(1, 2, 0, 3, 4)
+        return KvContext(
+            keys=list(kv[0]),
+            values=list(kv[1]),
+            positions=self.positions[rows, slots],
+            visible=self.visible[rows, slots],
+        )
+
+    def scatter(
+        self,
+        page_ids: Sequence[int],
+        offset: Optional[int],
+        positions: np.ndarray,
+        keys: Sequence[np.ndarray],
+        values: Sequence[np.ndarray],
+    ) -> None:
+        """Write ``len(positions)`` tokens' per-layer K/V into consecutive
+        slots of ``page_ids``, starting ``offset`` slots into the first page
+        and crossing page boundaries.  ``offset=None`` starts after as many
+        slots as the pages have written."""
+        rows = self._rows(page_ids)
+        n_tokens = len(positions)
+        capacity = len(rows) * self.page_size
+        if offset is None:
+            offset = int(self.valid[rows].sum())
+        if offset < 0 or offset + n_tokens > capacity:
+            raise ResourceError(
+                f"forward: writing {n_tokens} tokens at offset {offset} exceeds the "
+                f"{capacity}-token capacity of the provided KV pages"
+            )
+        flat = np.arange(offset, offset + n_tokens)
+        rows = rows[flat // self.page_size]
+        slots = flat % self.page_size
+        self.kv[rows, 0, :, slots] = np.stack(keys, axis=1)
+        self.kv[rows, 1, :, slots] = np.stack(values, axis=1)
+        self.positions[rows, slots] = positions
+        self.valid[rows, slots] = True
+        self.visible[rows, slots] = True
+
+    def _rows(self, page_ids: Sequence[int]) -> np.ndarray:
+        for page_id in page_ids:
+            self._check(page_id)
+        return np.asarray(page_ids, dtype=np.intp)
+
+    def _check(self, page_id: int) -> None:
         if not self._pool.is_allocated(page_id):
             raise ResourceError(f"KV page {page_id} is not allocated")
-        return self._pages[page_id]
 
     @property
     def num_free(self) -> int:

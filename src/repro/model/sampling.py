@@ -88,16 +88,17 @@ class TokenDistribution:
 
 def top_k_dist(logits: np.ndarray, k: int, temperature: float = 1.0) -> TokenDistribution:
     """Build a top-K truncated :class:`TokenDistribution` from raw logits."""
+    if k < 1:
+        raise ReproError(f"top-k must be at least 1, got {k}")
     probs = softmax(logits, temperature=temperature)
     vocab = probs.shape[0]
     k = min(k, vocab)
     top_indices = np.argpartition(probs, -k)[-k:]
     top_indices = top_indices[np.argsort(probs[top_indices])[::-1]]
     top_probs = probs[top_indices]
-    total = top_probs.sum()
     return TokenDistribution(
-        token_ids=tuple(int(i) for i in top_indices),
-        probs=tuple(float(p / total) for p in top_probs),
+        token_ids=tuple(top_indices.tolist()),
+        probs=tuple((top_probs / top_probs.sum()).tolist()),
         truncated=k < vocab,
     )
 

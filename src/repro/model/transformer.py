@@ -252,22 +252,25 @@ class TinyTransformer:
     ) -> np.ndarray:
         config = self.config
         n_in = q.shape[0]
-        # Expand grouped KV heads to full head count.
-        repeat = config.gqa_group_size
-        k_full = np.repeat(keys, repeat, axis=1)  # (n_keys, n_heads, d_head)
-        v_full = np.repeat(values, repeat, axis=1)
-        # scores: (n_heads, n_in, n_keys)
-        scores = np.einsum("ihd,jhd->hij", q, k_full) / np.sqrt(config.d_head)
+        n_kv, group, d_head = config.n_kv_heads, config.gqa_group_size, config.d_head
+        n_keys = keys.shape[0]
+        # Fold each KV head's query group into its rows, so both products
+        # are batched matmuls over the KV heads: (n_kv, group * n_in, d_head).
+        q_rows = q.reshape(n_in, n_kv, group, d_head).transpose(1, 2, 0, 3)
+        q_rows = q_rows.reshape(n_kv, group * n_in, d_head)
+        scores = (q_rows @ keys.transpose(1, 2, 0)) / np.sqrt(d_head)
+        scores = scores.reshape(n_kv, group, n_in, n_keys)
         neg = np.finfo(np.float32).min / 2
-        scores = np.where(mask[None, :, :], scores, neg)
+        scores = np.where(mask, scores, neg)
         scores = scores - scores.max(axis=-1, keepdims=True)
         weights = np.exp(scores)
         # Rows with no visible key at all produce a zero attention output.
         denom = weights.sum(axis=-1, keepdims=True)
-        row_has_key = mask.any(axis=-1)[None, :, None]
+        row_has_key = mask.any(axis=-1)[:, None]
         weights = np.where(row_has_key, weights / np.maximum(denom, 1e-9), 0.0)
-        attn = np.einsum("hij,jhd->ihd", weights, v_full)
-        return attn.reshape(n_in, config.d_model)
+        weights = weights.reshape(n_kv, group * n_in, n_keys)
+        attn = (weights @ values.transpose(1, 0, 2)).reshape(n_kv, group, n_in, d_head)
+        return attn.transpose(2, 0, 1, 3).reshape(n_in, config.d_model)
 
     # -- sample stage --------------------------------------------------------
 

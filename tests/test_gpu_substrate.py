@@ -46,6 +46,13 @@ class TestGpuConfig:
             GpuConfig(**kwargs)
 
 
+def _write_slot(store, page_id, slot, position, keys, values):
+    """Write one token's per-layer K/V vectors at ``slot`` of a page."""
+    store.scatter(
+        [page_id], slot, np.array([position]), [k[None] for k in keys], [v[None] for v in values]
+    )
+
+
 class TestKvPageStore:
     def test_allocate_and_free(self, memory):
         ids = memory.kv_pages.allocate(3)
@@ -74,7 +81,7 @@ class TestKvPageStore:
         ids = memory.kv_pages.allocate(1)
         page = memory.kv_pages.page(ids[0])
         k = [np.ones((config.n_kv_heads, config.d_head), np.float32)] * config.n_layers
-        page.write_token(0, position=5, keys_per_layer=k, values_per_layer=k)
+        _write_slot(memory.kv_pages, ids[0], 0, position=5, keys=k, values=k)
         assert page.num_valid == 1
         memory.kv_pages.free(ids)
         ids2 = memory.kv_pages.allocate(1)
@@ -87,7 +94,7 @@ class TestKvPageStore:
         dst = memory.kv_pages.page(ids[1])
         k = [np.full((config.n_kv_heads, config.d_head), 2.0, np.float32)] * config.n_layers
         v = [np.full((config.n_kv_heads, config.d_head), 3.0, np.float32)] * config.n_layers
-        src.write_token(1, position=7, keys_per_layer=k, values_per_layer=v)
+        _write_slot(memory.kv_pages, ids[0], 1, position=7, keys=k, values=v)
         dst.copy_token_from(src, src_slot=1, dst_slot=0)
         assert dst.valid[0]
         assert dst.positions[0] == 7
@@ -116,10 +123,10 @@ class TestKvPageStore:
 
     def test_write_bad_slot_rejected(self, memory, config):
         ids = memory.kv_pages.allocate(1)
-        page = memory.kv_pages.page(ids[0])
         k = [np.zeros((config.n_kv_heads, config.d_head), np.float32)] * config.n_layers
         with pytest.raises(ResourceError):
-            page.write_token(config.kv_page_size, 0, k, k)
+            _write_slot(memory.kv_pages, ids[0], config.kv_page_size, 0, k, k)
+        assert memory.kv_pages.page(ids[0]).num_valid == 0
 
     @given(st.lists(st.integers(min_value=1, max_value=3), max_size=6))
     @settings(max_examples=30, deadline=None)
@@ -166,6 +173,149 @@ class TestPoolFreeHardening:
         # The ids are still allocated and can be freed cleanly afterwards.
         memory.kv_pages.free(ids)
         assert memory.kv_pages.num_allocated == 0
+
+
+def _reference_gather(store, page_ids):
+    """The per-slot loop the pool-wide gather replaced: written slots in
+    page order, then slot order."""
+    n_layers = store.model_config.n_layers
+    keys = [[] for _ in range(n_layers)]
+    values = [[] for _ in range(n_layers)]
+    positions, visible = [], []
+    for page_id in page_ids:
+        page = store.page(page_id)
+        for slot in range(page.page_size):
+            if not page.valid[slot]:
+                continue
+            for layer in range(n_layers):
+                keys[layer].append(page.keys[layer][slot])
+                values[layer].append(page.values[layer][slot])
+            positions.append(int(page.positions[slot]))
+            visible.append(bool(page.visible[slot]))
+    return keys, values, positions, visible
+
+
+def _token_kv(config, n_tokens, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n_tokens, config.n_kv_heads, config.d_head)
+    keys = [rng.normal(size=shape).astype(np.float32) for _ in range(config.n_layers)]
+    values = [rng.normal(size=shape).astype(np.float32) for _ in range(config.n_layers)]
+    return keys, values
+
+
+class TestKvGatherScatter:
+    """KvPageStore.gather / scatter: one fancy index over the pool tensor."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.booleans(), min_size=16, max_size=16),  # written slots
+                st.lists(st.booleans(), min_size=16, max_size=16),  # mask_kv mask
+                st.booleans(),  # apply the mask
+            ),
+            min_size=0,
+            max_size=4,
+        ),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gather_matches_per_slot_reference(self, pages, seed):
+        config = get_model_config("llama-sim-1b")
+        assert config.kv_page_size == 16
+        store = KvPageStore(config, num_pages=8)
+        store.allocate(2)  # the gathered pages need not start at row 0
+        ids = store.allocate(len(pages))
+        rng = np.random.default_rng(seed)
+        for page_id, (written, mask, masked) in zip(ids, pages):
+            for slot in np.flatnonzero(written):
+                keys, values = _token_kv(config, 1, int(rng.integers(2**31)))
+                store.scatter([page_id], int(slot), np.array([rng.integers(1000)]), keys, values)
+            if masked:
+                store.page(page_id).mask_tokens(mask)
+        order = list(reversed(ids)) if seed % 2 else ids
+        context = store.gather(order)
+        keys, values, positions, visible = _reference_gather(store, order)
+        assert context.positions.dtype == np.int64
+        assert context.positions.tolist() == positions
+        assert context.visible.tolist() == visible
+        for layer in range(config.n_layers):
+            expect_shape = (len(positions), config.n_kv_heads, config.d_head)
+            if positions:
+                np.testing.assert_array_equal(context.keys[layer], np.stack(keys[layer]))
+                np.testing.assert_array_equal(context.values[layer], np.stack(values[layer]))
+            assert context.keys[layer].shape == expect_shape
+            assert context.values[layer].shape == expect_shape
+
+    def test_scatter_lands_chunked_prefill_across_page_boundaries(self, memory, config):
+        store = memory.kv_pages
+        ids = store.allocate(3)
+        keys, values = _token_kv(config, 40, seed=1)
+        positions = np.arange(100, 140)
+        # Three prefill slices of 10, 20 and 10 tokens, each appended after
+        # the slots the previous ones wrote (offset=None).
+        for start, stop in ((0, 10), (10, 30), (30, 40)):
+            store.scatter(
+                ids,
+                None,
+                positions[start:stop],
+                [k[start:stop] for k in keys],
+                [v[start:stop] for v in values],
+            )
+        for token in range(40):
+            page = store.page(ids[token // 16])
+            slot = token % 16
+            assert page.valid[slot] and page.visible[slot]
+            assert page.positions[slot] == 100 + token
+            for layer in range(config.n_layers):
+                np.testing.assert_array_equal(page.keys[layer][slot], keys[layer][token])
+                np.testing.assert_array_equal(page.values[layer][slot], values[layer][token])
+        assert store.page(ids[2]).num_valid == 8
+        context = store.gather(ids)
+        assert context.positions.tolist() == list(range(100, 140))
+        np.testing.assert_array_equal(context.keys[1], keys[1])
+
+    def test_scatter_at_explicit_offset(self, memory, config):
+        store = memory.kv_pages
+        ids = store.allocate(2)
+        keys, values = _token_kv(config, 5, seed=2)
+        store.scatter(ids, 14, np.arange(5), keys, values)
+        first, second = store.page(ids[0]), store.page(ids[1])
+        assert np.flatnonzero(first.valid).tolist() == [14, 15]
+        assert np.flatnonzero(second.valid).tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(second.keys[0][2], keys[0][4])
+
+    @pytest.mark.parametrize("offset, n_tokens", [(None, 33), (30, 3), (-1, 1)])
+    def test_scatter_overflow_rejected_without_writing(self, memory, config, offset, n_tokens):
+        store = memory.kv_pages
+        ids = store.allocate(2)
+        keys, values = _token_kv(config, n_tokens, seed=3)
+        with pytest.raises(ResourceError):
+            store.scatter(ids, offset, np.arange(n_tokens), keys, values)
+        assert store.valid.sum() == 0
+        assert not store.kv.any()
+
+    def test_unallocated_pages_rejected(self, memory, config):
+        store = memory.kv_pages
+        ids = store.allocate(2)
+        store.free(ids[1:])
+        keys, values = _token_kv(config, 1, seed=4)
+        with pytest.raises(ResourceError):
+            store.gather([ids[0], ids[1]])
+        with pytest.raises(ResourceError):
+            store.scatter([ids[0], ids[1]], 20, np.arange(1), keys, values)
+        with pytest.raises(ResourceError):
+            store.gather([7])
+
+    def test_page_fields_are_views_of_the_pool(self, memory, config):
+        store = memory.kv_pages
+        src, dst = (store.page(pid) for pid in store.allocate(2))
+        keys, values = _token_kv(config, 1, seed=5)
+        store.scatter([src.page_id], 3, np.array([9]), keys, values)
+        dst.copy_page_from(src)
+        np.testing.assert_array_equal(store.kv[dst.page_id], store.kv[src.page_id])
+        assert store.positions[dst.page_id, 3] == 9 and store.valid[dst.page_id, 3]
+        dst.clear()
+        assert not store.kv[dst.page_id].any() and not store.valid[dst.page_id].any()
 
 
 class TestEmbedStore:

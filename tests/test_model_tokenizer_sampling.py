@@ -97,6 +97,22 @@ class TestSampling:
         assert len(dist) == 3
         assert not dist.truncated
 
+    @pytest.mark.parametrize("k", [0, -1, -5])
+    def test_top_k_below_one_rejected(self, k):
+        # argpartition(p, -0)[-0:] is the whole array, and a negative k
+        # would keep vocab-|k| entries: neither is a top-k distribution.
+        with pytest.raises(ReproError):
+            top_k_dist(np.array([0.0, 1.0, 2.0]), k=k)
+
+    def test_top_k_floats_match_per_element_conversion(self):
+        logits = np.random.default_rng(3).normal(size=259)
+        dist = top_k_dist(logits, k=32, temperature=0.7)
+        probs = softmax(logits, temperature=0.7)
+        top = np.argsort(probs)[::-1][:32]
+        total = probs[top].sum()
+        assert dist.token_ids == tuple(int(i) for i in top)
+        assert dist.probs == tuple(float(p / total) for p in probs[top])
+
     def test_dist_sorted_descending(self):
         dist = top_k_dist(np.array([3.0, 1.0, 2.0]), k=3)
         assert list(dist.probs) == sorted(dist.probs, reverse=True)

@@ -1,5 +1,7 @@
 """Tests for the toy transformer substrate: determinism and KV-cache exactness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,53 @@ class TestKvCacheExactness:
         embeds = model.embed_tokens([1, 2], [0, 1])
         with pytest.raises(ReproError):
             model.forward(embeds, [0, 1], attn_mask=np.ones((2, 5), dtype=bool))
+
+
+def reference_attention(config, q, keys, values, mask):
+    """Grouped-query attention with the KV heads expanded by np.repeat and
+    both products as einsums: the form the BLAS kernel replaced."""
+    group = config.gqa_group_size
+    k_full = np.repeat(keys, group, axis=1)
+    v_full = np.repeat(values, group, axis=1)
+    scores = np.einsum("ihd,jhd->hij", q, k_full) / np.sqrt(config.d_head)
+    scores = np.where(mask[None, :, :], scores, np.finfo(np.float32).min / 2)
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    denom = weights.sum(axis=-1, keepdims=True)
+    weights = np.where(mask.any(axis=-1)[None, :, None], weights / np.maximum(denom, 1e-9), 0.0)
+    return np.einsum("hij,jhd->ihd", weights, v_full).reshape(q.shape[0], config.d_model)
+
+
+class TestAttentionKernel:
+    """TinyTransformer._attention folds each GQA group into its KV head's
+    query rows and runs both products as batched matmuls."""
+
+    @pytest.mark.parametrize("n_heads, n_kv_heads", [(4, 2), (8, 2), (4, 4), (4, 1)])
+    @pytest.mark.parametrize("n_in, n_keys", [(1, 1), (3, 40), (17, 17)])
+    def test_matches_einsum_reference(self, config, n_heads, n_kv_heads, n_in, n_keys):
+        cfg = replace(config, n_heads=n_heads, n_kv_heads=n_kv_heads)
+        model = TinyTransformer(cfg)
+        rng = np.random.default_rng(n_in * 100 + n_keys)
+        q = rng.normal(size=(n_in, n_heads, cfg.d_head)).astype(np.float32)
+        keys = rng.normal(size=(n_keys, n_kv_heads, cfg.d_head)).astype(np.float32)
+        values = rng.normal(size=(n_keys, n_kv_heads, cfg.d_head)).astype(np.float32)
+        mask = rng.random((n_in, n_keys)) < 0.6
+        mask[:, 0] = True
+        got = model._attention(q, keys, values, mask)
+        want = reference_attention(cfg, q, keys, values, mask)
+        assert got.shape == want.shape == (n_in, cfg.d_model)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    def test_rows_without_a_visible_key_are_exactly_zero(self, model, config):
+        rng = np.random.default_rng(7)
+        q = rng.normal(size=(4, config.n_heads, config.d_head)).astype(np.float32)
+        keys = rng.normal(size=(6, config.n_kv_heads, config.d_head)).astype(np.float32)
+        values = rng.normal(size=(6, config.n_kv_heads, config.d_head)).astype(np.float32)
+        mask = np.ones((4, 6), dtype=bool)
+        mask[1] = False
+        mask[3] = False
+        out = model._attention(q, keys, values, mask)
+        assert np.all(out[[1, 3]] == 0.0)
+        assert np.all(np.abs(out[[0, 2]]).sum(axis=-1) > 0)
 
 
 class TestLora:
